@@ -48,7 +48,15 @@ const CAMPAIGN_GROUP: &str = "campaign";
 /// gate at the tight tier: a visits regression means components stopped
 /// sleeping (the O(active) win eroded silently) even while outcomes —
 /// pinned byte-identical by the equivalence suite — stay green.
+///
+/// The group also carries the 256-core barrier-storm anchor
+/// ([`ENGINE_ANCHOR`]): the machine size where construction and the run
+/// loop's bookkeeping, not component ticks, used to dominate. Its
+/// `new_ns` (`System::new`) and `run_ns` rows are advisory min-of-N
+/// wall clock; its visits, skipped cycles and simulated cycles gate.
 const ENGINE_GROUP: &str = "engine";
+/// Name and size of the engine group's large anchor.
+const ENGINE_ANCHOR: (&str, usize) = ("barrier256", 256);
 const CAMPAIGN_SPEC: &str = r#"{
   "name": "ledger-campaign", "cores": 2, "engine": "skip", "budget": 50000000,
   "workloads": ["mp", "sb", "fft"], "arms": ["wb-ooo"],
@@ -99,9 +107,11 @@ fn config_digest(cells: &[Cell]) -> String {
     format!("{:016x}", h.finish())
 }
 
+/// Short revision of the checkout, suffixed `-dirty` when tracked files
+/// differ from it (a row measured on uncommitted changes says so).
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--abbrev=7", "--exclude=*"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -197,6 +207,36 @@ fn engine_metrics(cells: &[Cell]) -> BTreeMap<String, u64> {
         metrics.insert(key("engine_skipped_cycles"), sys.skipped_cycles());
         metrics.insert(key("sim_cycles"), sys.now());
     }
+    let (name, cores) = ENGINE_ANCHOR;
+    let w = barrier_storm(cores, 2);
+    let cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(cores)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_engine(EngineMode::Sparse)
+        .without_event_log();
+    let (mut new_ns, mut run_ns) = (u64::MAX, u64::MAX);
+    for _ in 0..WALL_SAMPLES {
+        let t0 = std::time::Instant::now();
+        let mut sys = System::new(cfg.clone(), &w);
+        let t1 = std::time::Instant::now();
+        let outcome = sys.run(RUN_BUDGET);
+        let t2 = std::time::Instant::now();
+        assert_eq!(
+            outcome,
+            RunOutcome::Done,
+            "engine anchor {name} ended with {outcome} at cycle {}", // allow(panic): bench driver
+            sys.now()
+        );
+        new_ns = new_ns.min((t1 - t0).as_nanos() as u64);
+        run_ns = run_ns.min((t2 - t1).as_nanos() as u64);
+        let key = |k: &str| format!("{name}_{k}");
+        metrics.insert(key("engine_visits"), sys.engine_visits());
+        metrics.insert(key("engine_skipped_cycles"), sys.skipped_cycles());
+        metrics.insert(key("sim_cycles"), sys.now());
+    }
+    metrics.insert(format!("{name}_new_ns"), new_ns);
+    metrics.insert(format!("{name}_run_ns"), run_ns);
+    eprintln!("{name:<10} new {:>8.1} ms   run {:>8.1} ms (min of {WALL_SAMPLES})", new_ns as f64 / 1e6, run_ns as f64 / 1e6);
     metrics
 }
 
@@ -285,6 +325,7 @@ fn main() {
         let mut h = std::hash::DefaultHasher::new();
         config_digest(&cells).hash(&mut h);
         "sparse".hash(&mut h);
+        ENGINE_ANCHOR.hash(&mut h);
         LedgerEntry {
             rev: rev.clone(),
             config_digest: format!("{:016x}", h.finish()),

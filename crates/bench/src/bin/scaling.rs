@@ -11,8 +11,10 @@
 //! the worst case for the barrier counter's home bank). Each cell's
 //! stats embed, besides the usual run counters:
 //!
-//! - `sim_cycles`, `wall_ns`, `sim_cycles_per_sec` — the throughput
-//!   headline;
+//! - `sim_cycles`, `new_ns` (`System::new`), `run_ns` (`System::run`),
+//!   `wall_ns` (their sum) and `sim_cycles_per_sec` (cycles per second
+//!   of `run_ns`) — construction and run timed apart, so a machine
+//!   whose setup dominates cannot hide behind its run throughput;
 //! - the merged `dir_bank_occupancy` histogram plus per-bank re-keyed
 //!   copies (`dir_bank007_occupancy`) and per-bank request counts
 //!   (`dir_bank007_requests`), so bank imbalance is visible per size.
@@ -88,15 +90,19 @@ fn run_cell(cell: Cell, bank_keys: &BankKeys) -> CellResult {
     );
     let t0 = std::time::Instant::now();
     let mut sys = System::new(cfg, &w);
+    let t1 = std::time::Instant::now();
     let outcome = sys.run(cell.budget);
-    let wall_ns = t0.elapsed().as_nanos();
+    let (new_ns, run_ns) = ((t1 - t0).as_nanos(), t1.elapsed().as_nanos());
+    let wall_ns = new_ns + run_ns;
     assert_eq!(outcome, RunOutcome::Done, "{name} ended with {outcome} at cycle {}", sys.now());
 
     let mut stats = sys.report().stats;
     let cycles = sys.now();
     stats.set("sim_cycles", cycles);
+    stats.set("new_ns", new_ns as u64);
+    stats.set("run_ns", run_ns as u64);
     stats.set("wall_ns", wall_ns as u64);
-    stats.set("sim_cycles_per_sec", (cycles as u128 * 1_000_000_000 / wall_ns.max(1)) as u64);
+    stats.set("sim_cycles_per_sec", (cycles as u128 * 1_000_000_000 / run_ns.max(1)) as u64);
     stats.set("engine_skipped_cycles", sys.skipped_cycles());
     stats.set("engine_skip_windows", sys.skip_windows());
     stats.set("engine_visits", sys.engine_visits());
@@ -209,9 +215,11 @@ fn main() {
     for r in &results {
         let s = &r.stats;
         eprintln!(
-            "{:<28} {:>10} cycles {:>12} cyc/s  nack_retries={:<6} occ_p99={}",
+            "{:<28} {:>10} cycles  new {:>8.1} ms  run {:>9.1} ms {:>12} cyc/s  nack_retries={:<6} occ_p99={}",
             r.name,
             s.get("sim_cycles"),
+            s.get("new_ns") as f64 / 1e6,
+            s.get("run_ns") as f64 / 1e6,
             s.get("sim_cycles_per_sec"),
             s.get("dir_nack_retries"),
             s.hist("dir_bank_occupancy").map_or(0, |h| h.p99()),

@@ -46,6 +46,7 @@
 pub mod litmus_runner;
 pub mod report;
 pub mod system;
+mod watchdog;
 
 pub use litmus_runner::{run_litmus, LitmusFailure, LitmusReport};
 pub use report::Report;

@@ -1,7 +1,7 @@
 //! The full system: cores + private caches + directory banks + mesh.
 
 use crate::report::Report;
-use std::collections::VecDeque;
+use crate::watchdog::Watchdog;
 use wb_cpu::Core;
 use wb_isa::{Reg, Workload};
 use wb_kernel::audit::{AuditKind, AuditReport, AuditViolation};
@@ -154,11 +154,19 @@ pub struct System {
     /// dense engine's ascending iteration exactly.
     active_pair: Vec<bool>,
     active_dir: Vec<bool>,
-    /// Nodes hosting at least one active bank this cycle (the phase-4
-    /// injection gate alongside `active_pair`).
-    node_dir_live: Vec<bool>,
+    /// Nodes already in this cycle's phase-4 injection list.
+    node_listed: Vec<bool>,
+    /// The sparse visit lists of the last executed cycle (sorted), kept
+    /// until the next tick so the run loop's fault and progress checks
+    /// look only at what was visited.
     list_pairs: Vec<u32>,
     list_dirs: Vec<u32>,
+    /// Scratch for the phase-4 injection node list.
+    list_nodes: Vec<u32>,
+    /// Something outside a component tick (an audit scrub, the start of
+    /// a run) may have changed any component: the next post-tick check
+    /// must look at every core, cache and bank, not just the visit set.
+    observe_all: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -285,9 +293,11 @@ impl System {
             scratch_due: Vec::new(),
             active_pair: vec![false; n],
             active_dir: vec![false; home.total_banks()],
-            node_dir_live: vec![false; n],
+            node_listed: vec![false; n],
             list_pairs: Vec::new(),
             list_dirs: Vec::new(),
+            list_nodes: Vec::new(),
+            observe_all: true,
             cfg,
         }
     }
@@ -507,99 +517,11 @@ impl System {
 
     /// Advance the whole system one cycle.
     pub fn tick(&mut self) {
-        if self.timeline.as_ref().is_some_and(|tl| tl.due(self.now)) {
-            let totals = self.aggregate_stats();
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.sample(self.now, &totals);
-            }
-        }
+        self.system_phase(self.now, false);
         let n = self.cores.len();
-        // Soft-error strikes land between cycles, before any component
-        // interprets its stored state this cycle. The schedule is a pure
-        // function of (seed, plan), so every engine mode flips the same
-        // bits on the same cycles.
-        if let Some(mut eng) = self.soft.take() {
-            for target in eng.fire(self.now) {
-                let applied = match target {
-                    SoftTarget::CacheState | SoftTarget::CacheTag | SoftTarget::Mshr => {
-                        let i = eng.rng_mut().below(n as u64) as usize;
-                        if self.sched.units() != 0 {
-                            // A flip can change the struck component's
-                            // next event; wake it (spuriously on a miss
-                            // — harmless, one no-op visit).
-                            self.sched.wake_at(self.unit_pair(i), self.now);
-                        }
-                        self.caches[i].soft_flip(self.now, target, eng.rng_mut())
-                    }
-                    SoftTarget::DirState | SoftTarget::Sharers => {
-                        let b = eng.rng_mut().below(self.dirs.len() as u64) as usize;
-                        if self.sched.units() != 0 {
-                            self.sched.wake_at(self.unit_dir(b), self.now);
-                        }
-                        self.dirs[b].soft_flip(self.now, target, eng.rng_mut())
-                    }
-                };
-                if applied {
-                    eng.note_applied();
-                } else {
-                    eng.note_missed();
-                }
-            }
-            self.soft = Some(eng);
-        }
-        if self.next_audit_at.is_some_and(|at| self.now >= at) {
-            self.run_audit(false);
-            self.next_audit_at = Some(self.now + self.audit_every);
-        }
-        if self.chaos_wants_signal {
-            let lockdown_live = self.caches.iter().any(|c| c.active_lockdowns() > 0);
-            self.mesh.set_chaos_signal(lockdown_live);
-        }
         // 1. Deliver mesh arrivals to caches / directory banks.
         for i in 0..n {
-            self.scratch_arrivals.clear();
-            self.mesh.drain_arrived_into(NodeId(i as u16), &mut self.scratch_arrivals);
-            for m in self.scratch_arrivals.drain(..) {
-                let (dest, msg) = m.payload;
-                if self.trace_line == Some(msg.line()) {
-                    self.sink.emit(&format!(
-                        "[{:>8}] {} -> {:?}: {:?}",
-                        self.now, m.src, dest, msg
-                    ));
-                }
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        self.now,
-                        TraceEvent::MsgRecv {
-                            msg: msg.mnemonic(),
-                            src: m.src.0,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                        },
-                    );
-                }
-                match dest {
-                    Dest::Cache(_) => {
-                        if self.sched.units() != 0 {
-                            // Wake-on-message: the recipient acts this
-                            // cycle regardless of its cached wake time.
-                            // (Unit ids inlined: pair i is unit i, bank
-                            // b is unit n + b — see `unit_pair`.)
-                            self.sched.wake_at(i, self.now);
-                        }
-                        self.caches[i].handle_msg(self.now, msg, &mut self.cores[i])
-                    }
-                    // Routing delivers by node; the hosting tile
-                    // dispatches to whichever of its banks owns the line.
-                    Dest::Dir(_) => {
-                        let b = self.home.bank_of(msg.line());
-                        if self.sched.units() != 0 {
-                            self.sched.wake_at(n + b, self.now);
-                        }
-                        self.dirs[b].receive(self.now, msg)
-                    }
-                }
-            }
+            self.deliver_node(i, self.now, None);
         }
         // 2. Directory banks and deferred cache work.
         for d in &mut self.dirs {
@@ -614,48 +536,9 @@ impl System {
             self.cores[i].tick(self.now, &mut self.caches[i]);
         }
         // 4. Inject outbound protocol messages.
-        let (data_flits, ctrl_flits) =
-            (self.cfg.network.data_flits, self.cfg.network.control_flits);
         let mut sent_any = false;
         for i in 0..n {
-            let from = NodeId(i as u16);
-            // Cache messages precede directory messages so the trace
-            // records which component sent each message (the first
-            // `cache_n` entries of the scratch buffer are the cache's;
-            // a directory message's sending bank is recomputed from its
-            // line, since only the home bank ever speaks for a line).
-            self.scratch_outbox.clear();
-            self.caches[i].drain_outbox_into(&mut self.scratch_outbox);
-            let cache_n = self.scratch_outbox.len();
-            for b in self.home.banks_at(i) {
-                self.dirs[b].drain_outbox_into(&mut self.scratch_outbox);
-            }
-            for (k, (dest, msg)) in self.scratch_outbox.drain(..).enumerate() {
-                let sender = if k < cache_n {
-                    CompId::Cache(i as u16)
-                } else {
-                    CompId::Dir(self.home.bank_of(msg.line()) as u16)
-                };
-                let flits = msg.flits(data_flits, ctrl_flits);
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        self.now,
-                        TraceEvent::MsgSend {
-                            msg: msg.mnemonic(),
-                            from: sender,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                            vnet: msg.vnet().index() as u8,
-                            flits,
-                        },
-                    );
-                }
-                self.mesh.send(
-                    self.now,
-                    MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
-                );
-                sent_any = true;
-            }
+            sent_any |= self.inject_node(i, self.now);
         }
         // 5. The network.
         self.mesh.tick(self.now);
@@ -666,6 +549,164 @@ impl System {
             self.drain_park_log();
         }
         self.now += 1;
+    }
+
+    /// Phase 0 of every engine's cycle: system-level deadlines, in
+    /// dense order — the timeline sample, soft-error strikes, the
+    /// periodic audit and the chaos lockdown signal. `flush` charges the
+    /// sparse engines' idle debt first, so a sample sees fully charged
+    /// counters.
+    fn system_phase(&mut self, t: Cycle, flush: bool) {
+        if self.timeline.as_ref().is_some_and(|tl| tl.due(t)) {
+            if flush {
+                self.flush_idle_charges();
+            }
+            let totals = self.aggregate_stats();
+            if let Some(tl) = self.timeline.as_mut() {
+                tl.sample(t, &totals);
+            }
+        }
+        // Soft-error strikes land between cycles, before any component
+        // interprets its stored state this cycle. The schedule is a pure
+        // function of (seed, plan), so every engine mode flips the same
+        // bits on the same cycles.
+        if let Some(mut eng) = self.soft.take() {
+            let wheel = self.sched.units() != 0;
+            for target in eng.fire(t) {
+                // A flip can change the struck component's next event;
+                // wake it for this cycle (spuriously on a miss — one
+                // harmless no-op visit).
+                let applied = match target {
+                    SoftTarget::CacheState | SoftTarget::CacheTag | SoftTarget::Mshr => {
+                        let i = eng.rng_mut().below(self.cores.len() as u64) as usize;
+                        if wheel {
+                            self.sched.wake_at(self.unit_pair(i), t);
+                        }
+                        self.caches[i].soft_flip(t, target, eng.rng_mut())
+                    }
+                    SoftTarget::DirState | SoftTarget::Sharers => {
+                        let b = eng.rng_mut().below(self.dirs.len() as u64) as usize;
+                        if wheel {
+                            self.sched.wake_at(self.unit_dir(b), t);
+                        }
+                        self.dirs[b].soft_flip(t, target, eng.rng_mut())
+                    }
+                };
+                if applied {
+                    eng.note_applied();
+                } else {
+                    eng.note_missed();
+                }
+            }
+            self.soft = Some(eng);
+        }
+        if self.next_audit_at.is_some_and(|at| t >= at) {
+            // `run_audit` ends with a full `wake_all`, so under the
+            // sparse engines the scrub's repair traffic (and anything
+            // else it disturbed) turns this into a full-visit cycle.
+            self.run_audit(false);
+            self.next_audit_at = Some(t + self.audit_every);
+        }
+        if self.chaos_wants_signal {
+            let lockdown_live = self.caches.iter().any(|c| c.active_lockdowns() > 0);
+            self.mesh.set_chaos_signal(lockdown_live);
+        }
+    }
+
+    /// Phase 1 for node `i`: hand every arrival the mesh releases at the
+    /// node to its cache or home bank, returning how many it released.
+    /// Under the sparse engines (`active` given) each recipient joins
+    /// this cycle's active set; dense ticking instead wakes the
+    /// recipient's wheel unit, when there is a wheel.
+    fn deliver_node(&mut self, i: usize, t: Cycle, mut active: Option<(&mut Vec<u32>, &mut Vec<u32>)>) -> usize {
+        let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
+        arrivals.clear();
+        self.mesh.drain_arrived_into(NodeId(i as u16), &mut arrivals);
+        let released = arrivals.len();
+        let wheel = self.sched.units() != 0;
+        for m in arrivals.drain(..) {
+            let (dest, msg) = m.payload;
+            if self.trace_line == Some(msg.line()) {
+                self.sink.emit(&format!("[{:>8}] {} -> {:?}: {:?}", t, m.src, dest, msg));
+            }
+            if self.tracer.wants(Category::Protocol) {
+                self.tracer.record(
+                    t,
+                    TraceEvent::MsgRecv { msg: msg.mnemonic(), src: m.src.0, to: comp_of(dest), line: msg.line().0 },
+                );
+            }
+            match dest {
+                // Wake-on-message: the recipient acts this cycle
+                // regardless of its cached wake time.
+                Dest::Cache(_) => {
+                    match active.as_mut() {
+                        Some((pairs, _)) => self.activate_pair(i, t, pairs),
+                        None if wheel => self.sched.wake_at(self.unit_pair(i), t),
+                        None => {}
+                    }
+                    self.caches[i].handle_msg(t, msg, &mut self.cores[i])
+                }
+                // Routing delivers by node; the hosting tile dispatches
+                // to whichever of its banks owns the line.
+                Dest::Dir(_) => {
+                    let b = self.home.bank_of(msg.line());
+                    match active.as_mut() {
+                        Some((_, dirs)) => self.activate_dir(b, dirs),
+                        None if wheel => self.sched.wake_at(self.unit_dir(b), t),
+                        None => {}
+                    }
+                    self.dirs[b].receive(t, msg)
+                }
+            }
+        }
+        self.scratch_arrivals = arrivals;
+        released
+    }
+
+    /// Phase 4 for node `i`: hand the node's cache outbox, then its
+    /// banks' outboxes, to the mesh. Returns whether anything was sent.
+    fn inject_node(&mut self, i: usize, t: Cycle) -> bool {
+        let (data_flits, ctrl_flits) =
+            (self.cfg.network.data_flits, self.cfg.network.control_flits);
+        let from = NodeId(i as u16);
+        // Cache messages precede directory messages so the trace
+        // records which component sent each message (the first
+        // `cache_n` entries of the scratch buffer are the cache's;
+        // a directory message's sending bank is recomputed from its
+        // line, since only the home bank ever speaks for a line).
+        self.scratch_outbox.clear();
+        self.caches[i].drain_outbox_into(&mut self.scratch_outbox);
+        let cache_n = self.scratch_outbox.len();
+        for b in self.home.banks_at(i) {
+            self.dirs[b].drain_outbox_into(&mut self.scratch_outbox);
+        }
+        let sent = !self.scratch_outbox.is_empty();
+        for (k, (dest, msg)) in self.scratch_outbox.drain(..).enumerate() {
+            let sender = if k < cache_n {
+                CompId::Cache(i as u16)
+            } else {
+                CompId::Dir(self.home.bank_of(msg.line()) as u16)
+            };
+            let flits = msg.flits(data_flits, ctrl_flits);
+            if self.tracer.wants(Category::Protocol) {
+                self.tracer.record(
+                    t,
+                    TraceEvent::MsgSend {
+                        msg: msg.mnemonic(),
+                        from: sender,
+                        to: comp_of(dest),
+                        line: msg.line().0,
+                        vnet: msg.vnet().index() as u8,
+                        flits,
+                    },
+                );
+            }
+            self.mesh.send(
+                t,
+                MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
+            );
+        }
+        sent
     }
 
     /// Schedule a drain visit at `park + 1` for every node the mesh
@@ -694,176 +735,50 @@ impl System {
     /// are bulk-charged per core at its own activation.
     fn tick_sparse(&mut self) {
         let t = self.now;
-        let n = self.cores.len();
-        // Phase 0: system-level deadlines, in dense order. The sample
-        // must see fully charged idle counters.
-        if self.timeline.as_ref().is_some_and(|tl| tl.due(t)) {
-            self.flush_idle_charges();
-            let totals = self.aggregate_stats();
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.sample(t, &totals);
-            }
-        }
-        if let Some(mut eng) = self.soft.take() {
-            for target in eng.fire(t) {
-                let applied = match target {
-                    SoftTarget::CacheState | SoftTarget::CacheTag | SoftTarget::Mshr => {
-                        let i = eng.rng_mut().below(n as u64) as usize;
-                        self.sched.wake_at(self.unit_pair(i), t);
-                        self.caches[i].soft_flip(t, target, eng.rng_mut())
-                    }
-                    SoftTarget::DirState | SoftTarget::Sharers => {
-                        let b = eng.rng_mut().below(self.dirs.len() as u64) as usize;
-                        self.sched.wake_at(self.unit_dir(b), t);
-                        self.dirs[b].soft_flip(t, target, eng.rng_mut())
-                    }
-                };
-                if applied {
-                    eng.note_applied();
-                } else {
-                    eng.note_missed();
-                }
-            }
-            self.soft = Some(eng);
-        }
-        if self.next_audit_at.is_some_and(|at| t >= at) {
-            // `run_audit` ends with a full `wake_all`, so the scrub's
-            // repair traffic (and anything else it disturbed) turns
-            // this into a dense-equivalent full-visit cycle.
-            self.run_audit(false);
-            self.next_audit_at = Some(t + self.audit_every);
-        }
-        if self.chaos_wants_signal {
-            let lockdown_live = self.caches.iter().any(|c| c.active_lockdowns() > 0);
-            self.mesh.set_chaos_signal(lockdown_live);
-        }
-        // Pop the due set and split it into this cycle's active sets.
-        // After the loop `due` holds only the due drain *nodes*, sorted
-        // ascending so phase 1 visits them in dense node order.
-        let mut due = std::mem::take(&mut self.scratch_due);
-        let mut pairs = std::mem::take(&mut self.list_pairs);
-        let mut dirs_l = std::mem::take(&mut self.list_dirs);
-        due.clear();
-        self.sched.take_due(t, &mut due);
-        let mesh_unit = n + self.dirs.len();
-        let mut mesh_due = false;
-        let mut nd = 0;
-        for k in 0..due.len() {
-            let u = due[k] as usize;
-            if u < n {
-                self.activate_pair(u, t, &mut pairs);
-            } else if u < mesh_unit {
-                self.activate_dir(u - n, &mut dirs_l);
-            } else if u == mesh_unit {
-                mesh_due = true;
-            } else {
-                due[nd] = (u - mesh_unit - 1) as u32;
-                nd += 1;
-            }
-        }
-        due.truncate(nd);
-        due.sort_unstable();
+        self.system_phase(t, true);
+        let (due, mut pairs, mut dirs_l, mesh_due) = self.take_active_set(t);
         // Phase 1: deliver arrivals at nodes with a scheduled drain.
         // Every recipient joins the active set (wake-on-message).
-        let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
-        for k in 0..due.len() {
-            let i = due[k] as usize;
-            arrivals.clear();
-            self.mesh.drain_arrived_into(NodeId(i as u16), &mut arrivals);
-            for m in arrivals.drain(..) {
-                let (dest, msg) = m.payload;
-                if self.trace_line == Some(msg.line()) {
-                    self.sink.emit(&format!("[{:>8}] {} -> {:?}: {:?}", t, m.src, dest, msg));
-                }
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        t,
-                        TraceEvent::MsgRecv {
-                            msg: msg.mnemonic(),
-                            src: m.src.0,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                        },
-                    );
-                }
-                match dest {
-                    Dest::Cache(_) => {
-                        self.activate_pair(i, t, &mut pairs);
-                        self.caches[i].handle_msg(t, msg, &mut self.cores[i])
-                    }
-                    Dest::Dir(_) => {
-                        let b = self.home.bank_of(msg.line());
-                        self.activate_dir(b, &mut dirs_l);
-                        self.dirs[b].receive(t, msg)
-                    }
-                }
-            }
+        for &i in &due {
+            self.deliver_node(i as usize, t, Some((&mut pairs, &mut dirs_l)));
         }
-        self.scratch_arrivals = arrivals;
         // Phases 2–3: tick the active set in dense component order
         // (banks, then caches, then cores; ascending ids).
         pairs.sort_unstable();
         dirs_l.sort_unstable();
-        for k in 0..dirs_l.len() {
-            self.dirs[dirs_l[k] as usize].tick(t);
+        for &b in &dirs_l {
+            self.dirs[b as usize].tick(t);
         }
-        for k in 0..pairs.len() {
-            let i = pairs[k] as usize;
-            let (cache, core) = (&mut self.caches[i], &mut self.cores[i]);
+        for &i in &pairs {
+            let (cache, core) = (&mut self.caches[i as usize], &mut self.cores[i as usize]);
             cache.tick(t, core);
         }
-        for k in 0..pairs.len() {
-            let i = pairs[k] as usize;
-            self.cores[i].tick(t, &mut self.caches[i]);
+        for &i in &pairs {
+            self.cores[i as usize].tick(t, &mut self.caches[i as usize]);
         }
         // Phase 4: inject from nodes with an active pair or an active
-        // hosted bank. Inactive components cannot have queued messages:
-        // outboxes are filled only by the actions of active components
-        // and drained the same cycle.
-        for k in 0..dirs_l.len() {
-            self.node_dir_live[self.home.node_of(dirs_l[k] as usize)] = true;
+        // hosted bank, in ascending node order. Inactive components
+        // cannot have queued messages: outboxes are filled only by the
+        // actions of active components and drained the same cycle.
+        let mut nodes = std::mem::take(&mut self.list_nodes);
+        nodes.clear();
+        nodes.extend_from_slice(&pairs);
+        for &b in &dirs_l {
+            let nd = self.home.node_of(b as usize);
+            if !self.active_pair[nd] && !self.node_listed[nd] {
+                self.node_listed[nd] = true;
+                nodes.push(nd as u32);
+            }
         }
-        let (data_flits, ctrl_flits) =
-            (self.cfg.network.data_flits, self.cfg.network.control_flits);
+        if nodes.len() > pairs.len() {
+            nodes.sort_unstable();
+        }
         let mut sent_any = false;
-        for i in 0..n {
-            if !self.active_pair[i] && !self.node_dir_live[i] {
-                continue;
-            }
-            let from = NodeId(i as u16);
-            self.scratch_outbox.clear();
-            self.caches[i].drain_outbox_into(&mut self.scratch_outbox);
-            let cache_n = self.scratch_outbox.len();
-            for b in self.home.banks_at(i) {
-                self.dirs[b].drain_outbox_into(&mut self.scratch_outbox);
-            }
-            for (k, (dest, msg)) in self.scratch_outbox.drain(..).enumerate() {
-                let sender = if k < cache_n {
-                    CompId::Cache(i as u16)
-                } else {
-                    CompId::Dir(self.home.bank_of(msg.line()) as u16)
-                };
-                let flits = msg.flits(data_flits, ctrl_flits);
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        t,
-                        TraceEvent::MsgSend {
-                            msg: msg.mnemonic(),
-                            from: sender,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                            vnet: msg.vnet().index() as u8,
-                            flits,
-                        },
-                    );
-                }
-                self.mesh.send(
-                    t,
-                    MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
-                );
-                sent_any = true;
-            }
+        for &nd in &nodes {
+            self.node_listed[nd as usize] = false;
+            sent_any |= self.inject_node(nd as usize, t);
         }
+        self.list_nodes = nodes;
         // Phase 5: the network runs when it has internal work or took
         // new traffic this cycle; parked arrivals arm drain units.
         let mesh_active = mesh_due || sent_any;
@@ -871,20 +786,56 @@ impl System {
             self.mesh.tick(t);
             self.drain_park_log();
         }
-        // Reschedule every visited unit from its fresh post-tick state
-        // and clear the active sets. Drain units are one-shot — only a
-        // new park re-arms them.
-        for k in 0..pairs.len() {
-            let i = pairs[k] as usize;
+        self.finish_sparse_cycle(t, due, pairs, dirs_l, mesh_active);
+    }
+
+    /// Pop cycle `t`'s due set off the wheel and split it into the
+    /// sparse active sets: `(drain nodes ascending, pairs, banks, mesh
+    /// due)`. Due pairs are activated (idle debt charged) on the way.
+    fn take_active_set(&mut self, t: Cycle) -> (Vec<u32>, Vec<u32>, Vec<u32>, bool) {
+        let n = self.cores.len();
+        let mut due = std::mem::take(&mut self.scratch_due);
+        let mut pairs = std::mem::take(&mut self.list_pairs);
+        let mut dirs_l = std::mem::take(&mut self.list_dirs);
+        due.clear();
+        pairs.clear();
+        dirs_l.clear();
+        self.sched.take_due(t, &mut due);
+        let mesh_unit = n + self.dirs.len();
+        let mut mesh_due = false;
+        due.retain_mut(|u| {
+            let x = *u as usize;
+            if x < n {
+                self.activate_pair(x, t, &mut pairs);
+            } else if x < mesh_unit {
+                self.activate_dir(x - n, &mut dirs_l);
+            } else if x == mesh_unit {
+                mesh_due = true;
+            } else {
+                *u = (x - mesh_unit - 1) as u32;
+                return true;
+            }
+            false
+        });
+        due.sort_unstable();
+        (due, pairs, dirs_l, mesh_due)
+    }
+
+    /// Reschedule every visited unit from its fresh post-tick state,
+    /// clear the active flags and keep the visit lists for the run
+    /// loop's post-tick checks. Drain units are one-shot — only a new
+    /// park re-arms them.
+    fn finish_sparse_cycle(&mut self, t: Cycle, due: Vec<u32>, pairs: Vec<u32>, dirs_l: Vec<u32>, mesh_active: bool) {
+        for &i in &pairs {
+            let i = i as usize;
             self.active_pair[i] = false;
             self.charged_until[i] = t + 1;
             let e = self.pair_next_event(i, t + 1);
             self.sched.set(self.unit_pair(i), e);
         }
-        for k in 0..dirs_l.len() {
-            let b = dirs_l[k] as usize;
+        for &b in &dirs_l {
+            let b = b as usize;
             self.active_dir[b] = false;
-            self.node_dir_live[self.home.node_of(b)] = false;
             let e = self.dirs[b].next_event(t + 1);
             self.sched.set(self.unit_dir(b), e);
         }
@@ -894,9 +845,6 @@ impl System {
         }
         self.engine_visits +=
             (pairs.len() + dirs_l.len() + due.len() + usize::from(mesh_active)) as u64;
-        due.clear();
-        pairs.clear();
-        dirs_l.clear();
         self.scratch_due = due;
         self.list_pairs = pairs;
         self.list_dirs = dirs_l;
@@ -912,110 +860,20 @@ impl System {
     fn tick_sparse_verify(&mut self) {
         let t = self.now;
         let n = self.cores.len();
-        // Phase 0 — identical to `tick_sparse`.
-        if self.timeline.as_ref().is_some_and(|tl| tl.due(t)) {
-            self.flush_idle_charges();
-            let totals = self.aggregate_stats();
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.sample(t, &totals);
-            }
-        }
-        if let Some(mut eng) = self.soft.take() {
-            for target in eng.fire(t) {
-                let applied = match target {
-                    SoftTarget::CacheState | SoftTarget::CacheTag | SoftTarget::Mshr => {
-                        let i = eng.rng_mut().below(n as u64) as usize;
-                        self.sched.wake_at(self.unit_pair(i), t);
-                        self.caches[i].soft_flip(t, target, eng.rng_mut())
-                    }
-                    SoftTarget::DirState | SoftTarget::Sharers => {
-                        let b = eng.rng_mut().below(self.dirs.len() as u64) as usize;
-                        self.sched.wake_at(self.unit_dir(b), t);
-                        self.dirs[b].soft_flip(t, target, eng.rng_mut())
-                    }
-                };
-                if applied {
-                    eng.note_applied();
-                } else {
-                    eng.note_missed();
-                }
-            }
-            self.soft = Some(eng);
-        }
-        if self.next_audit_at.is_some_and(|at| t >= at) {
-            self.run_audit(false);
-            self.next_audit_at = Some(t + self.audit_every);
-        }
-        if self.chaos_wants_signal {
-            let lockdown_live = self.caches.iter().any(|c| c.active_lockdowns() > 0);
-            self.mesh.set_chaos_signal(lockdown_live);
-        }
-        // The active set the sparse engine would compute.
-        let mut due = std::mem::take(&mut self.scratch_due);
-        let mut pairs = std::mem::take(&mut self.list_pairs);
-        let mut dirs_l = std::mem::take(&mut self.list_dirs);
-        due.clear();
-        self.sched.take_due(t, &mut due);
-        let mesh_unit = n + self.dirs.len();
-        let mut mesh_due = false;
-        let mut nd = 0;
-        for k in 0..due.len() {
-            let u = due[k] as usize;
-            if u < n {
-                self.activate_pair(u, t, &mut pairs);
-            } else if u < mesh_unit {
-                self.activate_dir(u - n, &mut dirs_l);
-            } else if u == mesh_unit {
-                mesh_due = true;
-            } else {
-                due[nd] = (u - mesh_unit - 1) as u32;
-                nd += 1;
-            }
-        }
-        due.truncate(nd);
-        due.sort_unstable();
+        self.system_phase(t, true);
+        let (due, mut pairs, mut dirs_l, mesh_due) = self.take_active_set(t);
         // Phase 1: drain EVERY node; an unscheduled node must release
         // nothing, or the sparse engine would have missed a delivery.
-        let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
         for i in 0..n {
             let scheduled = due.binary_search(&(i as u32)).is_ok();
-            arrivals.clear();
-            self.mesh.drain_arrived_into(NodeId(i as u16), &mut arrivals);
+            let released = self.deliver_node(i, t, Some((&mut pairs, &mut dirs_l)));
             assert!(
-                scheduled || arrivals.is_empty(),
-                "SparseVerify: node {i} released {} arrival(s) at cycle {t} with no drain scheduled",
-                arrivals.len()
+                scheduled || released == 0,
+                "SparseVerify: node {i} released {released} arrival(s) at cycle {t} with no drain scheduled"
             );
-            for m in arrivals.drain(..) {
-                let (dest, msg) = m.payload;
-                if self.trace_line == Some(msg.line()) {
-                    self.sink.emit(&format!("[{:>8}] {} -> {:?}: {:?}", t, m.src, dest, msg));
-                }
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        t,
-                        TraceEvent::MsgRecv {
-                            msg: msg.mnemonic(),
-                            src: m.src.0,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                        },
-                    );
-                }
-                match dest {
-                    Dest::Cache(_) => {
-                        self.activate_pair(i, t, &mut pairs);
-                        self.caches[i].handle_msg(t, msg, &mut self.cores[i])
-                    }
-                    Dest::Dir(_) => {
-                        let b = self.home.bank_of(msg.line());
-                        self.activate_dir(b, &mut dirs_l);
-                        self.dirs[b].receive(t, msg)
-                    }
-                }
-            }
         }
-        self.scratch_arrivals = arrivals;
+        pairs.sort_unstable();
+        dirs_l.sort_unstable();
         // Phase 2: every bank and cache ticks; sleeping ones must hold
         // their sleep claim and change nothing.
         for b in 0..self.dirs.len() {
@@ -1024,7 +882,7 @@ impl System {
             } else {
                 let claim = self.dirs[b].next_event(t);
                 assert!(
-                    claim.map_or(true, |c| c > t),
+                    claim.is_none_or(|c| c > t),
                     "SparseVerify: bank {b} slept through its own event at cycle {t} ({claim:?})"
                 );
                 let pre = self.dirs[b].stats().clone();
@@ -1047,7 +905,7 @@ impl System {
             } else {
                 let claim = self.pair_next_event(i, t);
                 assert!(
-                    claim.map_or(true, |c| c > t),
+                    claim.is_none_or(|c| c > t),
                     "SparseVerify: pair {i} slept through its own event at cycle {t} ({claim:?})"
                 );
                 let pre = self.caches[i].stats().clone();
@@ -1090,43 +948,9 @@ impl System {
         }
         // Phase 4: dense injection from every node (a sleeping node's
         // outboxes were just asserted empty, so draining is a no-op).
-        let (data_flits, ctrl_flits) =
-            (self.cfg.network.data_flits, self.cfg.network.control_flits);
         let mut sent_any = false;
         for i in 0..n {
-            let from = NodeId(i as u16);
-            self.scratch_outbox.clear();
-            self.caches[i].drain_outbox_into(&mut self.scratch_outbox);
-            let cache_n = self.scratch_outbox.len();
-            for b in self.home.banks_at(i) {
-                self.dirs[b].drain_outbox_into(&mut self.scratch_outbox);
-            }
-            for (k, (dest, msg)) in self.scratch_outbox.drain(..).enumerate() {
-                let sender = if k < cache_n {
-                    CompId::Cache(i as u16)
-                } else {
-                    CompId::Dir(self.home.bank_of(msg.line()) as u16)
-                };
-                let flits = msg.flits(data_flits, ctrl_flits);
-                if self.tracer.wants(Category::Protocol) {
-                    self.tracer.record(
-                        t,
-                        TraceEvent::MsgSend {
-                            msg: msg.mnemonic(),
-                            from: sender,
-                            to: comp_of(dest),
-                            line: msg.line().0,
-                            vnet: msg.vnet().index() as u8,
-                            flits,
-                        },
-                    );
-                }
-                self.mesh.send(
-                    t,
-                    MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
-                );
-                sent_any = true;
-            }
+            sent_any |= self.inject_node(i, t);
         }
         // Phase 5: the mesh always ticks; when the sparse engine would
         // have skipped it, it must do visibly nothing.
@@ -1134,7 +958,7 @@ impl System {
         if !mesh_active {
             let claim = self.mesh.next_internal_event(t);
             assert!(
-                claim.map_or(true, |c| c > t),
+                claim.is_none_or(|c| c > t),
                 "SparseVerify: mesh slept through its own event at cycle {t} ({claim:?})"
             );
             let pre = self.mesh.stats().clone();
@@ -1150,35 +974,11 @@ impl System {
         self.drain_park_log();
         // Reschedule exactly the units the sparse engine would have
         // visited — the others keep their (now verified) wheel state.
-        for k in 0..pairs.len() {
-            let i = pairs[k] as usize;
-            self.active_pair[i] = false;
-            let e = self.pair_next_event(i, t + 1);
-            self.sched.set(self.unit_pair(i), e);
-        }
-        for k in 0..dirs_l.len() {
-            let b = dirs_l[k] as usize;
-            self.active_dir[b] = false;
-            let e = self.dirs[b].next_event(t + 1);
-            self.sched.set(self.unit_dir(b), e);
-        }
-        if mesh_active {
-            let e = self.mesh.next_internal_event(t + 1);
-            self.sched.set(self.unit_mesh(), e);
-        }
-        self.engine_visits +=
-            (pairs.len() + dirs_l.len() + due.len() + usize::from(mesh_active)) as u64;
-        // Every core really ticked, so the idle frontier stays current.
+        // Every core really ticked, so the idle frontier is current.
+        self.finish_sparse_cycle(t, due, pairs, dirs_l, mesh_active);
         for cu in &mut self.charged_until {
             *cu = t + 1;
         }
-        due.clear();
-        pairs.clear();
-        dirs_l.clear();
-        self.scratch_due = due;
-        self.list_pairs = pairs;
-        self.list_dirs = dirs_l;
-        self.now = t + 1;
     }
 
     /// Is everything finished and drained?
@@ -1207,16 +1007,13 @@ impl System {
     /// `stall_window`, and then diagnoses the wedge from live state.
     /// Typed protocol faults abort the run as soon as they are raised.
     pub fn run_watchdog(&mut self, max_cycles: u64, stall_window: u64) -> RunOutcome {
-        /// Retry-counter snapshot cadence (power of two, cheap mask test).
-        const SNAP_EVERY_MASK: u64 = 0x1FFF; // 8192 cycles
-        const SNAPS_KEPT: usize = 64;
-        let mut progress: Vec<(u64, Cycle)> =
-            self.cores.iter().map(|c| (c.retired(), self.now)).collect();
-        let mut drained_since: Option<Cycle> = None;
-        let mut snaps: VecDeque<(Cycle, u64)> = VecDeque::with_capacity(SNAPS_KEPT + 1);
-        snaps.push_back((self.now, self.retry_activity()));
-        let deadline = self.now.saturating_add(max_cycles);
         let engine = self.cfg.engine;
+        let verify = engine == EngineMode::SparseVerify;
+        let mut wd = Watchdog::new(&self.cores, self.now, stall_window, self.retry_activity(), verify);
+        // The first post-tick check looks at the whole machine: state
+        // may have changed between runs.
+        self.observe_all = true;
+        let deadline = self.now.saturating_add(max_cycles);
         if engine.is_sparse() {
             // Any dense ticking between runs self-accounted its cycles;
             // the sparse idle-charge frontier starts at `now`.
@@ -1225,35 +1022,21 @@ impl System {
             }
         }
         while self.now < deadline {
-            if self.done() {
+            // While the watchdog holds a live core the machine cannot be
+            // done, so the cache, bank and mesh scans wait until then.
+            if wd.all_drained() && self.done() {
                 self.flush_idle_charges();
                 return RunOutcome::Done;
             }
             match engine {
                 EngineMode::Skip | EngineMode::SkipVerify => {
-                    self.try_skip(
-                        &progress,
-                        &mut drained_since,
-                        stall_window,
-                        deadline,
-                        &mut snaps,
-                        SNAP_EVERY_MASK,
-                        SNAPS_KEPT,
-                    );
+                    self.try_skip(&mut wd, deadline);
                     if self.now >= deadline {
                         break;
                     }
                 }
                 EngineMode::Sparse => {
-                    self.try_jump_sparse(
-                        &progress,
-                        &mut drained_since,
-                        stall_window,
-                        deadline,
-                        &mut snaps,
-                        SNAP_EVERY_MASK,
-                        SNAPS_KEPT,
-                    );
+                    self.try_jump_sparse(&mut wd, deadline);
                     if self.now >= deadline {
                         break;
                     }
@@ -1268,52 +1051,41 @@ impl System {
                 EngineMode::SparseVerify => self.tick_sparse_verify(),
                 _ => self.tick(),
             }
-            if let Some(e) = self.protocol_fault() {
+            // Only a visited component can have changed its retired,
+            // drained or fault state this cycle (DESIGN.md "Performance
+            // engineering III"); everything else is looked at only when
+            // the engine is not sparse or the whole machine was touched.
+            let full = !engine.is_sparse() || std::mem::take(&mut self.observe_all);
+            let fault = if full { self.protocol_fault() } else { self.visited_fault() };
+            if verify {
+                assert_eq!(
+                    fault,
+                    self.protocol_fault(),
+                    "SparseVerify: visited-component fault check diverged at cycle {}",
+                    self.now
+                );
+            }
+            if let Some(e) = fault {
                 self.flush_idle_charges();
-                let stalled = self.stalled_cores(&progress, stall_window);
+                let stalled = wd.stalled(&self.cores, self.now);
                 let report = self.diagnose(stalled, 0, Some(e));
                 return RunOutcome::Fault(Box::new(report));
             }
-            let mut worst: u64 = 0;
-            let mut all_drained = true;
-            for (i, c) in self.cores.iter().enumerate() {
-                let r = c.retired();
-                if c.drained() || r != progress[i].0 {
-                    progress[i] = (r, self.now);
-                } else {
-                    worst = worst.max(self.now - progress[i].1);
+            if full {
+                for (i, c) in self.cores.iter().enumerate() {
+                    wd.observe(i, c, self.now);
                 }
-                all_drained &= c.drained();
-            }
-            if all_drained {
-                // Cores finished but done() is false: the memory system
-                // (store buffers drained, but MSHRs / directory / mesh)
-                // is wedged. No core will ever retire again, so measure
-                // from the moment everything drained.
-                let since = *drained_since.get_or_insert(self.now);
-                worst = worst.max(self.now - since);
             } else {
-                drained_since = None;
-            }
-            if self.now & SNAP_EVERY_MASK == 0 {
-                snaps.push_back((self.now, self.retry_activity()));
-                while snaps.len() > SNAPS_KEPT {
-                    snaps.pop_front();
+                for &i in &self.list_pairs {
+                    wd.observe(i as usize, &self.cores[i as usize], self.now);
                 }
             }
-            if worst > stall_window {
+            wd.verify(&self.cores, self.now);
+            wd.sample(self.now, || self.retry_activity());
+            if wd.tripped(self.now) {
                 self.flush_idle_charges();
-                let activity_now = self.retry_activity();
-                // Baseline: the newest snapshot at least a full stall
-                // window old (fall back to the oldest kept).
-                let base = snaps
-                    .iter()
-                    .rev()
-                    .find(|(t, _)| self.now.saturating_sub(*t) >= stall_window)
-                    .or_else(|| snaps.front())
-                    .map_or(0, |&(_, a)| a);
-                let retries = activity_now.saturating_sub(base);
-                let stalled = self.stalled_cores(&progress, stall_window);
+                let retries = wd.retries(self.now, self.retry_activity());
+                let stalled = wd.stalled(&self.cores, self.now);
                 let report = self.diagnose(stalled, retries, None);
                 return RunOutcome::Wedge(Box::new(report));
             }
@@ -1393,8 +1165,8 @@ impl System {
         due.clear();
         self.sched.take_due(now, &mut due);
         let mut busy = false;
-        for k in 0..due.len() {
-            let u = due[k] as usize;
+        for &u in &due {
+            let u = u as usize;
             let e = self.unit_probe_event(u, now);
             busy |= matches!(e, Some(c) if c <= now);
             self.sched.set(u, e);
@@ -1443,17 +1215,7 @@ impl System {
     /// so wedge and budget outcomes land on exactly the dense cycle.
     /// `SkipVerify` instead ticks the window densely and asserts the
     /// inertness claim cycle by cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn try_skip(
-        &mut self,
-        progress: &[(u64, Cycle)],
-        drained_since: &mut Option<Cycle>,
-        stall_window: u64,
-        deadline: Cycle,
-        snaps: &mut VecDeque<(Cycle, u64)>,
-        snap_mask: u64,
-        snaps_kept: usize,
-    ) {
+    fn try_skip(&mut self, wd: &mut Watchdog, deadline: Cycle) {
         if self.now < self.next_probe_at {
             return;
         }
@@ -1465,25 +1227,7 @@ impl System {
             self.next_probe_at = self.now + self.probe_stride;
             return;
         }
-        // Watchdog cap. Dense mode trips when, after the tick at cycle
-        // `c`, `c + 1 - base > stall_window` — so the last tick it runs
-        // is at `base + stall_window`. `base` is the oldest progress
-        // cycle of a non-drained core or, once every core has drained,
-        // the cycle the post-tick check first observed that (which,
-        // during an inert window, is one past the current cycle).
-        let cap_base = if self.cores.iter().all(Core::drained) {
-            *drained_since.get_or_insert(self.now + 1)
-        } else {
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.drained())
-                .map(|(i, _)| progress[i].1)
-                .min()
-                .expect("a non-drained core exists")
-        };
-        let cap = cap_base.saturating_add(stall_window);
-        let target = wake.unwrap_or(Cycle::MAX).min(cap).min(deadline);
+        let target = wake.unwrap_or(Cycle::MAX).min(wd.cap(self.now)).min(deadline);
         if target <= self.now {
             // Quiescent but capped (watchdog / deadline): nothing will
             // change until progress does, so back off as when busy.
@@ -1533,7 +1277,7 @@ impl System {
                 let pre_dirs: Vec<Stats> = self.dirs.iter().map(|d| d.stats().clone()).collect();
                 for _ in 0..k {
                     assert!(
-                        self.quiescent_until().map_or(true, |w| w >= target),
+                        self.quiescent_until().is_none_or(|w| w >= target),
                         "SkipVerify: an event appeared inside a window declared inert \
                          ({start}..{target}, at cycle {})",
                         self.now
@@ -1575,19 +1319,7 @@ impl System {
                 }
             }
         }
-        // Synthesize the snapshots dense ticking would have taken at the
-        // 8192-cycle boundaries inside the window; retry activity is
-        // constant while every component is inert.
-        let step = snap_mask + 1;
-        let activity = self.retry_activity();
-        let mut b = (start / step + 1) * step;
-        while b <= target {
-            snaps.push_back((b, activity));
-            while snaps.len() > snaps_kept {
-                snaps.pop_front();
-            }
-            b += step;
-        }
+        wd.sample_window(start, target, || self.retry_activity());
     }
 
     /// Sparse-engine fast-forward: when the wheel schedules nothing for
@@ -1599,17 +1331,7 @@ impl System {
     /// charged at its own next activation. The wheel's bound may be
     /// early (lazily invalidated entries): an early landing executes
     /// one inert sparse cycle and re-probes, it never diverges.
-    #[allow(clippy::too_many_arguments)]
-    fn try_jump_sparse(
-        &mut self,
-        progress: &[(u64, Cycle)],
-        drained_since: &mut Option<Cycle>,
-        stall_window: u64,
-        deadline: Cycle,
-        snaps: &mut VecDeque<(Cycle, u64)>,
-        snap_mask: u64,
-        snaps_kept: usize,
-    ) {
+    fn try_jump_sparse(&mut self, wd: &mut Watchdog, deadline: Cycle) {
         let wheel = self.sched.earliest();
         if matches!(wheel, Some(c) if c <= self.now) {
             return;
@@ -1618,25 +1340,11 @@ impl System {
         if sys == Some(self.now) {
             return;
         }
-        // Watchdog cap — identical to `try_skip` (see the comment
-        // there for why `base + stall_window` is the last dense tick).
-        let cap_base = if self.cores.iter().all(Core::drained) {
-            *drained_since.get_or_insert(self.now + 1)
-        } else {
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.drained())
-                .map(|(i, _)| progress[i].1)
-                .min()
-                .expect("a non-drained core exists")
-        };
-        let cap = cap_base.saturating_add(stall_window);
         let wake = match (wheel, sys) {
             (Some(a), Some(b)) => a.min(b),
             (a, b) => a.or(b).unwrap_or(Cycle::MAX),
         };
-        let target = wake.min(cap).min(deadline);
+        let target = wake.min(wd.cap(self.now)).min(deadline);
         if target <= self.now {
             return;
         }
@@ -1646,19 +1354,9 @@ impl System {
         self.skip_windows += 1;
         self.now = target;
         // Synthesize the watchdog snapshots dense ticking would have
-        // taken, exactly like `try_skip`: retry activity is constant
-        // while nothing executes, and `retry_activity` reads no
+        // taken, exactly like `try_skip`: `retry_activity` reads no
         // idle-charged counter, so pending idle debt cannot skew it.
-        let step = snap_mask + 1;
-        let activity = self.retry_activity();
-        let mut b = (start / step + 1) * step;
-        while b <= target {
-            snaps.push_back((b, activity));
-            while snaps.len() > snaps_kept {
-                snaps.pop_front();
-            }
-            b += step;
-        }
+        wd.sample_window(start, target, || self.retry_activity());
     }
 
     /// Activate pair `i` for the current sparse cycle (idempotent):
@@ -1682,20 +1380,6 @@ impl System {
             self.active_dir[b] = true;
             list.push(b as u32);
         }
-    }
-
-    /// Cores that have gone at least half the stall window without
-    /// retiring, worst first: `(core, stalled-for cycles)`.
-    fn stalled_cores(&self, progress: &[(u64, Cycle)], stall_window: u64) -> Vec<(u16, u64)> {
-        let mut v: Vec<(u16, u64)> = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| !c.drained() && self.now - progress[*i].1 >= stall_window / 2)
-            .map(|(i, _)| (i as u16, self.now - progress[i].1))
-            .collect();
-        v.sort_by_key(|&(c, s)| (std::cmp::Reverse(s), c));
-        v
     }
 
     /// Total retry-shaped protocol activity: Nack-driven directory
@@ -1729,6 +1413,15 @@ impl System {
             }
         }
         None
+    }
+
+    /// [`System::protocol_fault`] over the components the last sparse
+    /// cycle visited, in the same (caches, then banks; ascending) order.
+    /// Exact when no fault was pending before the cycle: only a visited
+    /// component can have raised one.
+    fn visited_fault(&self) -> Option<ProtocolError> {
+        let cache = self.list_pairs.iter().find_map(|&i| self.caches[i as usize].fault());
+        cache.or_else(|| self.list_dirs.iter().find_map(|&b| self.dirs[b as usize].fault())).cloned()
     }
 
     /// One-line command-equivalent description of this run, printed in
@@ -2263,6 +1956,7 @@ impl System {
             // unit so no engine sleeps through audit-induced work.
             self.sched.wake_all(self.now);
         }
+        self.observe_all = true;
         AuditReport { at_cycle: now, final_run, checks, scrub_repairs, violations }
     }
 
@@ -2660,5 +2354,52 @@ impl System {
         r.hot_lines = lines.top(16);
         r.hot_banks = banks.top(8);
         r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wb_kernel::config::CoreClass;
+    use wb_mem::LineAddr;
+
+    /// Run `mp` on a 2×2 machine, then inject two impossible forwards
+    /// (FwdGetX to caches that own nothing) that land in the same cycle
+    /// at caches 1 and 2, and run on. Returns the outcome and its cycle.
+    fn run_with_injected_faults(engine: EngineMode) -> (RunOutcome, Cycle) {
+        let cfg = SystemConfig::new(CoreClass::Slm).with_cores(4).with_engine(engine);
+        let mut sys = System::new(cfg, &wb_tso::litmus::mp().workload);
+        assert_eq!(sys.run(40), RunOutcome::Budget);
+        let t = sys.now;
+        for (src, dst) in [(0u16, 1u16), (3, 2)] {
+            let msg = ProtoMsg::FwdGetX { line: LineAddr(0x7777), requester: NodeId(src) };
+            let (vnet, dest) = (msg.vnet(), Dest::Cache(NodeId(dst)));
+            sys.mesh.send(t, MeshMsg { src: NodeId(src), dst: NodeId(dst), vnet, flits: 1, payload: (dest, msg) });
+        }
+        if sys.sched.units() != 0 {
+            sys.sched.wake_at(sys.unit_mesh(), t);
+        }
+        let out = sys.run(10_000);
+        (out, sys.now)
+    }
+
+    /// A fault raised inside a sparse visit is caught by the
+    /// visited-components check on the dense cycle, and when two caches
+    /// fault in one cycle the report names the lower-numbered one, as
+    /// the full scan does.
+    #[test]
+    fn visited_fault_check_matches_the_full_scan() {
+        let (dense, at) = run_with_injected_faults(EngineMode::Dense);
+        let report = dense.wedge_report().expect("the injected forward must fault");
+        assert!(matches!(dense, RunOutcome::Fault(_)), "{dense}");
+        assert!(report.error.as_deref().is_some_and(|e| e.contains("cache1")), "{:?}", report.error);
+        for engine in [EngineMode::Sparse, EngineMode::SparseVerify, EngineMode::Skip] {
+            let (got, got_at) = run_with_injected_faults(engine);
+            let mut got = got;
+            if let RunOutcome::Fault(r) = &mut got {
+                r.reproducer = report.reproducer.clone();
+            }
+            assert_eq!((got, got_at), (dense.clone(), at), "{engine:?} diverged");
+        }
     }
 }

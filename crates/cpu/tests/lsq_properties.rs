@@ -71,11 +71,9 @@ wb_proptest! {
                         st.data = Some(value);
                     }
                 }
-                LsqOp::SquashTail => {
-                    if next_seq > 1 {
-                        let from = next_seq - 1;
-                        lsq.squash(from);
-                    }
+                LsqOp::SquashTail if next_seq > 1 => {
+                    let from = next_seq - 1;
+                    lsq.squash(from);
                 }
                 _ => {}
             }

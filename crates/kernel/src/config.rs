@@ -449,7 +449,7 @@ impl SystemConfig {
         let mut h = 1;
         let mut d = 1;
         while d * d <= n {
-            if n % d == 0 {
+            if n.is_multiple_of(d) {
                 h = d;
             }
             d += 1;

@@ -363,7 +363,7 @@ mod tests {
         s.add("y", 0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.get("y"), 0);
-        assert!(s.is_empty() == false);
+        assert!(!s.is_empty());
     }
 
     #[test]

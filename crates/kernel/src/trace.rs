@@ -673,19 +673,12 @@ fn push_meta(out: &mut String, pid: u32, tid: Option<u32>, name: &str) {
     }
 }
 
-/// One Chrome trace event object. `ph` is the phase; span events
-/// (`"b"`/`"e"`, async nestable) carry an `id` so overlapping windows
-/// on one track pair up correctly.
-fn push_event(
-    out: &mut String,
-    ph: char,
-    name: &str,
-    cat: &str,
-    comp: CompId,
-    ts: Cycle,
-    id: Option<u64>,
-    args: &str,
-) {
+/// One Chrome trace event object for record `r` (category and
+/// timestamp come from the record; `comp` picks the track). `ph` is
+/// the phase; span events (`"b"`/`"e"`, async nestable) carry an `id`
+/// so overlapping windows on one track pair up correctly.
+fn push_event(out: &mut String, r: &Record, ph: char, name: &str, comp: CompId, id: Option<u64>, args: &str) {
+    let (cat, ts) = (r.event.category().label(), r.cycle);
     let (pid, tid) = pid_tid(comp);
     out.push_str(&format!(
         r#"{{"ph":"{ph}","name":"{name}","cat":"{cat}","pid":{pid},"tid":{tid},"ts":{ts}"#
@@ -770,15 +763,13 @@ pub fn chrome_trace_json_ext(records: &[Record], counters: &[CounterSample<'_>])
 
     for r in records {
         sep(&mut out);
-        let cat = r.event.category().label();
         match &r.event {
             TraceEvent::MsgSend { msg, from, to, line, vnet, flits } => push_event(
                 &mut out,
+                r,
                 'i',
                 &format!("send {msg}"),
-                cat,
                 *from,
-                r.cycle,
                 None,
                 &format!(
                     r#""line":"{line:#x}","to":"{to}","vnet":{vnet},"flits":{flits}"#
@@ -786,121 +777,109 @@ pub fn chrome_trace_json_ext(records: &[Record], counters: &[CounterSample<'_>])
             ),
             TraceEvent::MsgRecv { msg, src, to, line } => push_event(
                 &mut out,
+                r,
                 'i',
                 &format!("recv {msg}"),
-                cat,
                 *to,
-                r.cycle,
                 None,
                 &format!(r#""line":"{line:#x}","src":"n{src}""#),
             ),
             TraceEvent::DirTransition { line, from, to } => push_event(
                 &mut out,
+                r,
                 'i',
                 &format!("{from}->{to}"),
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""line":"{line:#x}""#),
             ),
             TraceEvent::WritersBlockBegin { line, writer } => push_event(
                 &mut out,
+                r,
                 'b',
                 &format!("writersblock {line:#x}"),
-                cat,
                 r.comp,
-                r.cycle,
                 Some(*line),
                 &format!(r#""writer":"n{writer}""#),
             ),
             TraceEvent::WritersBlockEnd { line } => push_event(
                 &mut out,
+                r,
                 'e',
                 &format!("writersblock {line:#x}"),
-                cat,
                 r.comp,
-                r.cycle,
                 Some(*line),
                 "",
             ),
             TraceEvent::MshrAlloc { line, kind } => push_event(
                 &mut out,
+                r,
                 'i',
                 &format!("mshr+ {kind}"),
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""line":"{line:#x}""#),
             ),
             TraceEvent::MshrFree { line, kind, latency } => push_event(
                 &mut out,
+                r,
                 'i',
                 &format!("mshr- {kind}"),
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""line":"{line:#x}","latency":{latency}"#),
             ),
             TraceEvent::LockdownBegin { line } => push_event(
                 &mut out,
+                r,
                 'b',
                 &format!("lockdown {line:#x}"),
-                cat,
                 r.comp,
-                r.cycle,
                 Some(*line),
                 "",
             ),
             TraceEvent::LockdownEnd { line, held } => push_event(
                 &mut out,
+                r,
                 'e',
                 &format!("lockdown {line:#x}"),
-                cat,
                 r.comp,
-                r.cycle,
                 Some(*line),
                 &format!(r#""held":{held}"#),
             ),
             TraceEvent::LoadBind { seq, line, reordered } => push_event(
                 &mut out,
+                r,
                 'i',
                 "load bind",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""seq":{seq},"line":"{line:#x}","reordered":{reordered}"#),
             ),
             TraceEvent::LoadCommit { seq, line, reordered } => push_event(
                 &mut out,
+                r,
                 'i',
                 "load commit",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""seq":{seq},"line":"{line:#x}","reordered":{reordered}"#),
             ),
             TraceEvent::MeshHop { src, dst, hops_left, vnet } => push_event(
                 &mut out,
+                r,
                 'i',
                 "hop",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""src":"n{src}","dst":"n{dst}","hops_left":{hops_left},"vnet":{vnet}"#),
             ),
             TraceEvent::LinkDrop { src, dst, vnet, seq, corrupt } => push_event(
                 &mut out,
+                r,
                 'i',
                 "link drop",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(
                     r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq},"corrupt":{corrupt}"#
@@ -908,11 +887,10 @@ pub fn chrome_trace_json_ext(records: &[Record], counters: &[CounterSample<'_>])
             ),
             TraceEvent::LinkRetx { src, dst, vnet, seq, attempt } => push_event(
                 &mut out,
+                r,
                 'i',
                 "link retx",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(
                     r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq},"attempt":{attempt}"#
@@ -920,11 +898,10 @@ pub fn chrome_trace_json_ext(records: &[Record], counters: &[CounterSample<'_>])
             ),
             TraceEvent::LinkDupSquashed { src, dst, vnet, seq } => push_event(
                 &mut out,
+                r,
                 'i',
                 "link dup-squash",
-                cat,
                 r.comp,
-                r.cycle,
                 None,
                 &format!(r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq}"#),
             ),

@@ -105,8 +105,8 @@ wb_proptest! {
         // Delivered order per flow, reconstructed from per-node drains.
         let mut delivered: std::collections::BTreeMap<(u16, u16, usize), Vec<u32>> =
             std::collections::BTreeMap::new();
-        for node in 0..topo.nodes() {
-            for &p in &got[node] {
+        for (node, arrived) in got.iter().enumerate() {
+            for &p in arrived {
                 let (src, dst, _, _) = resolve(specs[p as usize], topo);
                 prop_assert_eq!(dst.index(), node, "delivered to the wrong node");
                 delivered.entry((src.0, dst.0, specs[p as usize].2)).or_default().push(p);

@@ -7,19 +7,33 @@
 //!
 //! # Layout
 //!
-//! Storage is struct-of-arrays over flat slot arenas (slot = `set *
-//! ways + way`): a tag plane, an LRU-stamp plane and a payload plane.
-//! Tag scans — the operation every cache access performs — walk `ways`
-//! adjacent `u64`s (one cache line for typical associativities) instead
-//! of chasing a `Vec<Vec<Way<T>>>` through two pointer hops per set and
-//! dragging payload bytes through the scan. At 256 cores the simulator
-//! holds hundreds of these arrays, so tick-loop residency matters.
+//! Storage is struct-of-arrays over flat slot planes (slot = `set *
+//! ways + way`): a tag plane, an LRU-stamp plane and a slot-to-payload
+//! index plane. Tag scans — the operation every cache access performs —
+//! walk `ways` adjacent `u64`s (one cache line for typical
+//! associativities) without dragging payload bytes through the scan.
+//!
+//! # Lazy backing
+//!
+//! Every plane is zero-initialised: a free way has tag 0 (tags store
+//! `line + 1`), stamp 0 and index 0. `vec![0; n]` comes from a zeroed
+//! allocation, so pages of a plane the run never touches are never
+//! faulted in. Payloads live in a dense arena holding resident entries
+//! only. At 256 tiles the LLC/directory banks hold 4M slots of which a
+//! barrier kernel touches a handful; an eager payload plane (or a
+//! non-zero free sentinel) would write all of them at construction.
 
 use wb_mem::LineAddr;
 
-/// Tag-plane sentinel for a free way. Line numbers are byte addresses
-/// divided by the 64-byte line size, so no real line reaches this value.
-const FREE: u64 = u64::MAX;
+/// Tag-plane key of `line`; 0 is reserved for a free way.
+#[inline]
+fn key(line: LineAddr) -> u64 {
+    line.0 + 1
+}
+
+/// Free-way encoding of the positional snapshot (the tag plane's
+/// serialized form predates the lazy layout and is kept byte-stable).
+const SNAP_FREE: u64 = u64::MAX;
 
 /// Result of an [`SetAssocArray::insert`].
 #[derive(Debug, PartialEq, Eq)]
@@ -46,15 +60,19 @@ pub enum Insert<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocArray<T> {
-    /// Line number per slot; [`FREE`] marks an empty way.
+    /// `line + 1` per slot; 0 marks an empty way.
     tags: Vec<u64>,
     /// LRU stamp per slot, parallel to `tags`.
     stamps: Vec<u64>,
-    /// Payload per slot; `None` exactly when the tag is [`FREE`].
-    slots: Vec<Option<T>>,
+    /// Arena index per slot; meaningful only where the tag is non-zero.
+    index: Vec<u32>,
+    /// Resident payloads, dense and unordered.
+    arena: Vec<T>,
+    /// Slot of each arena entry (the back pointer `remove` needs to
+    /// re-point the entry its swap-remove moves).
+    owner: Vec<u32>,
     num_sets: usize,
     ways: usize,
-    len: usize,
 }
 
 impl<T> SetAssocArray<T> {
@@ -62,17 +80,20 @@ impl<T> SetAssocArray<T> {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the geometry needs more
+    /// than `u32::MAX` slots.
     pub fn new(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0 && ways > 0, "degenerate cache geometry");
         let n = num_sets * ways;
+        assert!(u32::try_from(n).is_ok(), "cache geometry {num_sets}x{ways} exceeds u32 slots");
         SetAssocArray {
-            tags: vec![FREE; n],
+            tags: vec![0; n],
             stamps: vec![0; n],
-            slots: (0..n).map(|_| None).collect(),
+            index: vec![0; n],
+            arena: Vec::new(),
+            owner: Vec::new(),
             num_sets,
             ways,
-            len: 0,
         }
     }
 
@@ -92,10 +113,8 @@ impl<T> SetAssocArray<T> {
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let base = self.base_of(line);
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == line.0)
-            .map(|w| base + w)
+        let k = key(line);
+        self.tags[base..base + self.ways].iter().position(|&t| t == k).map(|w| base + w)
     }
 
     /// Does the array currently hold `line`?
@@ -105,12 +124,12 @@ impl<T> SetAssocArray<T> {
 
     /// Borrow the payload for `line`.
     pub fn get(&self, line: LineAddr) -> Option<&T> {
-        self.find(line).and_then(|i| self.slots[i].as_ref())
+        self.find(line).map(|i| &self.arena[self.index[i] as usize])
     }
 
     /// Mutably borrow the payload for `line`.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.find(line).and_then(|i| self.slots[i].as_mut())
+        self.find(line).map(|i| &mut self.arena[self.index[i] as usize])
     }
 
     /// Mark `line` as most-recently used at time `now`.
@@ -140,27 +159,27 @@ impl<T> SetAssocArray<T> {
         // only — payloads are read just for the evictability filter).
         let mut victim: Option<usize> = None;
         for i in base..base + self.ways {
-            if self.tags[i] == FREE {
-                self.tags[i] = line.0;
+            let t = self.tags[i];
+            if t == 0 {
+                self.tags[i] = key(line);
                 self.stamps[i] = now;
-                self.slots[i] = Some(payload);
-                self.len += 1;
+                self.index[i] = self.arena.len() as u32;
+                self.arena.push(payload);
+                self.owner.push(i as u32);
                 return Insert::Done;
             }
             let older = victim.is_none_or(|v| self.stamps[i] < self.stamps[v]);
-            if older && self.slots[i].as_ref().is_some_and(|p| evictable(LineAddr(self.tags[i]), p)) {
+            if older && evictable(LineAddr(t - 1), &self.arena[self.index[i] as usize]) {
                 victim = Some(i);
             }
         }
         match victim {
             Some(i) => {
-                let old_line = LineAddr(self.tags[i]);
-                self.tags[i] = line.0;
+                let old_line = LineAddr(self.tags[i] - 1);
+                self.tags[i] = key(line);
                 self.stamps[i] = now;
-                match self.slots[i].replace(payload) {
-                    Some(old) => Insert::Evicted(old_line, old),
-                    None => Insert::Done,
-                }
+                let old = std::mem::replace(&mut self.arena[self.index[i] as usize], payload);
+                Insert::Evicted(old_line, old)
             }
             None => Insert::NoVictim,
         }
@@ -169,62 +188,111 @@ impl<T> SetAssocArray<T> {
     /// Remove `line`, returning its payload.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let i = self.find(line)?;
-        self.tags[i] = FREE;
-        let old = self.slots[i].take();
-        if old.is_some() {
-            self.len -= 1;
+        self.tags[i] = 0;
+        let a = self.index[i] as usize;
+        let old = self.arena.swap_remove(a);
+        self.owner.swap_remove(a);
+        if let Some(&moved) = self.owner.get(a) {
+            self.index[moved as usize] = a as u32;
         }
-        old
+        Some(old)
     }
 
-    /// Iterate over `(line, payload)` for every resident entry.
+    /// Iterate over `(line, payload)` for every resident entry, in slot
+    /// order. Walks the whole tag plane; use [`SetAssocArray::values`]
+    /// where order does not matter.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
         self.tags
             .iter()
-            .zip(&self.slots)
-            .filter(|(&t, _)| t != FREE)
-            .filter_map(|(&t, p)| p.as_ref().map(|p| (LineAddr(t), p)))
+            .zip(&self.index)
+            .filter(|(&t, _)| t != 0)
+            .map(|(&t, &a)| (LineAddr(t - 1), &self.arena[a as usize]))
+    }
+
+    /// Every resident payload, in no particular order; O(resident).
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.arena.iter()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.len
+        self.arena.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.arena.is_empty()
     }
 }
 
 impl<T: wb_kernel::Snap> wb_kernel::Snap for SetAssocArray<T> {
-    /// All three slot planes serialize positionally: LRU stamps decide
-    /// future victims and the way an entry occupies decides scan order,
-    /// so slot layout is execution-visible state, not an implementation
-    /// detail.
+    /// Serialized positionally as three planes — tags (free = all ones),
+    /// LRU stamps, and one optional payload per slot — then the
+    /// geometry and occupancy. LRU stamps decide future victims and the
+    /// way an entry occupies decides scan order, so slot layout is
+    /// execution-visible state; the arena order is not, and is rebuilt
+    /// in slot order on restore.
     fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.tags.snap(w);
+        let n = self.tags.len();
+        w.usize(n);
+        for &t in &self.tags {
+            w.u64(if t == 0 { SNAP_FREE } else { t - 1 });
+        }
         self.stamps.snap(w);
-        self.slots.snap(w);
+        w.usize(n);
+        for (&t, &a) in self.tags.iter().zip(&self.index) {
+            if t == 0 {
+                w.u8(0);
+            } else {
+                w.u8(1);
+                self.arena[a as usize].snap(w);
+            }
+        }
         w.usize(self.num_sets);
         w.usize(self.ways);
-        w.usize(self.len);
+        w.usize(self.arena.len());
     }
 
     fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        let a = SetAssocArray {
-            tags: Vec::unsnap(r)?,
-            stamps: Vec::unsnap(r)?,
-            slots: Vec::unsnap(r)?,
-            num_sets: r.usize()?,
-            ways: r.usize()?,
-            len: r.usize()?,
-        };
-        let n = a.num_sets.checked_mul(a.ways).unwrap_or(0);
-        if a.tags.len() != n || a.stamps.len() != n || a.slots.len() != n {
+        let snap_tags: Vec<u64> = Vec::unsnap(r)?;
+        let stamps: Vec<u64> = Vec::unsnap(r)?;
+        let slots: Vec<Option<T>> = Vec::unsnap(r)?;
+        let (num_sets, ways, len) = (r.usize()?, r.usize()?, r.usize()?);
+        let n = num_sets.checked_mul(ways).unwrap_or(0);
+        if snap_tags.len() != n || stamps.len() != n || slots.len() != n || u32::try_from(n).is_err() {
             return Err(wb_kernel::SnapError::new(format!(
-                "cache array planes disagree with geometry {}x{}",
-                a.num_sets, a.ways
+                "cache array planes disagree with geometry {num_sets}x{ways}"
+            )));
+        }
+        let mut a = SetAssocArray {
+            tags: vec![0; n],
+            stamps,
+            index: vec![0; n],
+            arena: Vec::with_capacity(len.min(n)),
+            owner: Vec::with_capacity(len.min(n)),
+            num_sets,
+            ways,
+        };
+        for (i, (t, p)) in snap_tags.into_iter().zip(slots).enumerate() {
+            match (t == SNAP_FREE, p) {
+                (true, None) => {}
+                (false, Some(p)) => {
+                    a.tags[i] = t + 1;
+                    a.index[i] = a.arena.len() as u32;
+                    a.arena.push(p);
+                    a.owner.push(i as u32);
+                }
+                _ => {
+                    return Err(wb_kernel::SnapError::new(format!(
+                        "cache array slot {i}: tag and payload planes disagree"
+                    )))
+                }
+            }
+        }
+        if a.arena.len() != len {
+            return Err(wb_kernel::SnapError::new(format!(
+                "cache array holds {} lines, header says {len}",
+                a.arena.len()
             )));
         }
         Ok(a)

@@ -506,12 +506,13 @@ impl Directory {
 
     /// True when no event, transient entry or parked eviction is pending.
     /// A `Poisoned` entry is not stable, so an in-flight rebuild keeps
-    /// the bank (and the run) alive until its probes resolve.
+    /// the bank (and the run) alive until its probes resolve. Scans
+    /// resident entries only, not the (mostly untouched) slot planes.
     pub fn is_idle(&self) -> bool {
         self.ingress.is_empty()
             && self.events.is_empty()
             && self.evict_buf.is_empty()
-            && self.l3.iter().all(|(_, e)| e.stable() && e.queued.is_empty())
+            && self.l3.values().all(|e| e.stable() && e.queued.is_empty())
     }
 
     // ------------------------------------------------------------------

@@ -93,12 +93,14 @@ wb_proptest! {
     /// from violates uniproc and is rejected.
     #[test]
     fn uniproc_violation_fails(seed in 0u64..500) {
-        let a = Addr::new(0x100);
+        let a = Addr::new(0x100 + (seed % 64) * 8);
+        // Never 0, the initial value: reading it would be legal.
+        let v = seed + 1;
         let mut log = ExecutionLog::new();
-        // Core 0: load reads value 42 at seq 0, store writes 42 at seq 1:
+        // Core 0: load reads `v` at seq 0, store writes `v` at seq 1:
         // the load reads from its own *future* store.
-        log.push(MemEvent { core: 0, seq: 0, addr: a, op: MemOp::Load { value: 42 + seed % 1 } });
-        log.push(MemEvent { core: 0, seq: 1, addr: a, op: MemOp::Store { value: 42, performed_at: 10 } });
+        log.push(MemEvent { core: 0, seq: 0, addr: a, op: MemOp::Load { value: v } });
+        log.push(MemEvent { core: 0, seq: 1, addr: a, op: MemOp::Store { value: v, performed_at: 10 } });
         prop_assert!(TsoChecker::new(&log).check().is_err());
     }
 }

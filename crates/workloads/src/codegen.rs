@@ -256,7 +256,7 @@ mod tests {
         st.run(&prog, &mut mem, 100_000).expect("halts");
         for r in [Reg(1), Reg(2), Reg(3)] {
             let a = st.reg(r);
-            assert!(a >= layout::SHARED && a < layout::SHARED + 64 * 8);
+            assert!((layout::SHARED..layout::SHARED + 64 * 8).contains(&a));
             assert_eq!(a % 8, 0);
         }
     }

@@ -122,6 +122,10 @@ fi
 cargo build --release --offline
 cargo test -q --offline
 
+# Lint floor: clippy over every target (tests, benches, examples
+# included) with warnings denied.
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
 # Trace smoke test: the protocol_trace example must emit a well-formed,
 # self-validated Chrome trace (it parses its own output before printing
 # the OK line).
@@ -222,4 +226,4 @@ test "$(wc -l < "$ledgerdir/ledger.jsonl")" -eq 6
 cp results/ledger.jsonl "$ledgerdir/baseline.jsonl"
 WB_LEDGER_PATH="$ledgerdir/baseline.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
 
-echo "tier-1 verify: OK (offline build + full test suite + trace + chaos + fault + soft + engine-equivalence + scaling + campaign crash-resume + ledger smoke tests)"
+echo "tier-1 verify: OK (offline build + full test suite + clippy + trace + chaos + fault + soft + engine-equivalence + scaling + campaign crash-resume + ledger smoke tests)"

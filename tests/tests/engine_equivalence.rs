@@ -377,6 +377,54 @@ fn wedge_fires_at_the_same_cycle() {
     assert_equivalent("near-miss scaled", &cfg, &w, 8_000_000, false);
 }
 
+/// The wedge cell at 16 cores, where the watchdog's incremental
+/// progress list has real work: even cores run 2-op programs and drain
+/// early (leaving the list), odd cores run 20 ops on links dropping 1
+/// in 400 against a 4000-cycle RTO, so several stall for different
+/// spans while others keep retiring. Every engine must trip on the same
+/// cycle with the same report, and SparseVerify checks the list against
+/// a full per-core recompute after every cycle.
+#[test]
+fn wide_wedge_fires_at_the_same_cycle() {
+    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
+    let mut rng = SimRng::new(7);
+    let programs =
+        (0..16).map(|c| random_program(c, &mut rng, if c % 2 == 0 { 2 } else { 20 }, &lines)).collect();
+    let w = Workload::new("torture-mixed-7", programs);
+    let mut cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(16)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_protocol(ProtocolKind::WritersBlock)
+        .with_seed(7)
+        .with_jitter(25)
+        .with_fault(FaultPlan::drop_everywhere(1, 400));
+    cfg.network.link.rto_min = 4000;
+    cfg.network.link.rto_max = 4000;
+    cfg.watchdog.stall_window = 2500;
+    cfg.watchdog.fault_scale = 1;
+    let dense = run_with(EngineMode::Dense, &cfg, &w, 8_000_000, false);
+    match &dense.outcome {
+        RunOutcome::Wedge(r) => {
+            let stalled = &r.stalled_cores;
+            assert!(stalled.len() >= 2, "several cores must stall: {stalled:?}");
+            assert!(
+                stalled.windows(2).any(|p| p[0].1 != p[1].1),
+                "stalls must span different windows: {stalled:?}"
+            );
+            assert!(
+                stalled.iter().all(|&(c, _)| c % 2 == 1),
+                "the short-program cores drained, so none may be reported: {stalled:?}"
+            );
+        }
+        other => panic!("cell must wedge densely, got {other}"),
+    }
+    let dense = neutralize_engine(dense);
+    for engine in [EngineMode::Skip, EngineMode::Sparse, EngineMode::SparseVerify] {
+        let got = neutralize_engine(run_with(engine, &cfg, &w, 8_000_000, false));
+        assert_eq!(dense, got, "16-core wedge cell diverged under {engine:?}");
+    }
+}
+
 /// Budget exhaustion lands on the same cycle with the same partial
 /// stats.
 #[test]
